@@ -4,7 +4,8 @@ Builds a real packed database over the full Trindade16 + Fontes18
 suites (18 functions, several ortho-family artifacts each, Verilog
 specifications alongside) and then sweeps it twice per workload:
 
-* **reference**: the retained per-artifact path — ``fgl_to_layout``
+* **reference**: the per-artifact test oracle
+  (``reference_analyze_texts``) — one artifact read, ``fgl_to_layout``
   object parse, ``compute_metrics``, ``check_layout`` and
   ``output_signature`` per record, exactly what ``core/table.py`` and
   ``verify_layout`` did before the analytics engine existed;
@@ -12,10 +13,10 @@ specifications alongside) and then sweeps it twice per workload:
   ``artifacts.pack`` slices into struct-of-arrays columns, with the
   metrics/DRC/simulation kernels running across the whole batch.
 
-Before any timing, the identity oracle proves the engines
-indistinguishable: every metric, DRC verdict and output signature is
-equal, ``best()`` rankings agree pairwise, and the rendered report
-(markdown and CSV) is byte-identical modulo the engine label.  Results
+Before any timing, the identity oracle proves the two indistinguishable:
+every metric, DRC verdict and output signature is equal, and the
+rankings, verdicts and rendered report (markdown, CSV and JSON) built
+from the oracle's analyses equal the production ones.  Results
 (per-workload wall time, aggregate speedup, canonical-scanner hit
 rate) go to ``BENCH_analytics.json`` at the repository root.
 
@@ -37,12 +38,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 import pytest
 
 from repro.analytics import (
-    ENGINE_COLUMNAR,
-    ENGINE_REFERENCE,
+    best_pairs,
     build_report,
     database_info,
+    gate_level_records,
+    reference_analyze_texts,
+    report_from_pairs,
     sweep_database,
     verify_database,
+    verify_pairs,
 )
 from repro.benchsuite import benchmarks_of
 from repro.core import BenchmarkDatabase
@@ -118,29 +122,37 @@ def build_database(root: Path, quick: bool) -> BenchmarkDatabase:
     return BenchmarkDatabase(root)
 
 
+def reference_sweep(db, with_signatures: bool = False) -> list[tuple]:
+    """The oracle's (record, analysis) pairs, one artifact at a time."""
+    records = gate_level_records(db)
+    texts = [db.artifact_text(record) for record in records]
+    analyses = reference_analyze_texts(texts, with_signatures=with_signatures)
+    return list(zip(records, analyses))
+
+
 def check_engines_agree(db: BenchmarkDatabase) -> dict:
-    """The identity oracle: both engines must be indistinguishable."""
-    columnar = sweep_database(db, engine=ENGINE_COLUMNAR, with_signatures=True)
-    reference = sweep_database(
-        db, engine=ENGINE_REFERENCE, with_signatures=True
-    )
+    """The identity oracle: columnar and reference must be
+    indistinguishable."""
+    columnar = sweep_database(db, with_signatures=True)
+    reference = reference_sweep(db, with_signatures=True)
     analyses_identical = len(columnar) == len(reference) and all(
         rec_c is rec_r and ana_c == ana_r
         for (rec_c, ana_c), (rec_r, ana_r) in zip(columnar, reference)
     )
-    rankings_identical = [
-        (r.path, a) for r, a in db.best(engine=ENGINE_COLUMNAR)
-    ] == [(r.path, a) for r, a in db.best(engine=ENGINE_REFERENCE)]
     verdicts_identical = (
-        db.verify_all(engine=ENGINE_COLUMNAR).records
-        == db.verify_all(engine=ENGINE_REFERENCE).records
+        db.verify_all().records == verify_pairs(db, reference).records
     )
-    report_c = build_report(db, engine=ENGINE_COLUMNAR)
-    report_r = build_report(db, engine=ENGINE_REFERENCE)
+    # Rankings and reports are built from signature-less sweeps.
+    reference = reference_sweep(db)
+    rankings_identical = [(r.path, a) for r, a in db.best()] == [
+        (r.path, a) for r, a in best_pairs(reference)
+    ]
+    report_c = build_report(db)
+    report_r = report_from_pairs(db, reference)
     reports_identical = (
         report_c.to_csv() == report_r.to_csv()
-        and report_c.to_markdown().replace("`columnar`", "`reference`")
-        == report_r.to_markdown()
+        and report_c.to_markdown() == report_r.to_markdown()
+        and report_c.to_json() == report_r.to_json()
     )
     return {
         "analyses_identical": analyses_identical,
@@ -161,11 +173,15 @@ def _time_best(repeats: int, thunk) -> float:
 
 
 def _workloads(db: BenchmarkDatabase) -> dict:
-    """Named sweeps, each runnable under either engine."""
+    """Named sweeps, each as a (reference, columnar) pair of thunks."""
     return {
-        "metrics_sweep": lambda engine: sweep_database(db, engine=engine),
-        "full_verification": lambda engine: verify_database(
-            db, engine=engine
+        "metrics_sweep": (
+            lambda: reference_sweep(db),
+            lambda: sweep_database(db),
+        ),
+        "full_verification": (
+            lambda: verify_pairs(db, reference_sweep(db, with_signatures=True)),
+            lambda: verify_database(db),
         ),
     }
 
@@ -176,15 +192,15 @@ def bench_analytics(quick: bool) -> dict:
         db = build_database(Path(tmp), quick)
         correctness = check_engines_agree(db)
         timings = {}
-        for name, workload in _workloads(db).items():
+        for name, (reference, columnar) in _workloads(db).items():
             timings[name] = {
-                engine: _time_best(repeats, lambda: workload(engine))
-                for engine in (ENGINE_REFERENCE, ENGINE_COLUMNAR)
+                "reference": _time_best(repeats, reference),
+                "columnar": _time_best(repeats, columnar),
             }
         info = database_info(db)
         db.store.close()
-    reference_total = sum(t[ENGINE_REFERENCE] for t in timings.values())
-    columnar_total = sum(t[ENGINE_COLUMNAR] for t in timings.values())
+    reference_total = sum(t["reference"] for t in timings.values())
+    columnar_total = sum(t["columnar"] for t in timings.values())
     return {
         "database": {
             "suites": list(SUITES_QUICK if quick else SUITES),
@@ -196,16 +212,13 @@ def bench_analytics(quick: bool) -> dict:
             "compression_ratio": info["compression_ratio"],
         },
         "correctness": correctness,
-        "canonical_scanner": {
-            "fallback_decodes": info["fallback_decodes"],
-            "backend": info["backend"],
-        },
+        "canonical_scanner": {"fallback_decodes": info["fallback_decodes"]},
         "workloads": {
             name: {
-                "reference_seconds": row[ENGINE_REFERENCE],
-                "columnar_seconds": row[ENGINE_COLUMNAR],
-                "speedup": row[ENGINE_REFERENCE] / row[ENGINE_COLUMNAR]
-                if row[ENGINE_COLUMNAR]
+                "reference_seconds": row["reference"],
+                "columnar_seconds": row["columnar"],
+                "speedup": row["reference"] / row["columnar"]
+                if row["columnar"]
                 else None,
             }
             for name, row in timings.items()
@@ -257,10 +270,8 @@ def _print_results(analytics: dict) -> None:
         f"({database['pack_bytes']} B packed, "
         f"{database['compression_ratio']:.2f}x compression)"
     )
-    scanner = analytics["canonical_scanner"]
     print(
-        f"backend: {scanner['backend']}, "
-        f"{scanner['fallback_decodes']} fallback decode(s)"
+        f"{analytics['canonical_scanner']['fallback_decodes']} fallback decode(s)"
     )
     for name, row in analytics["workloads"].items():
         print(

@@ -6,23 +6,13 @@ DRC and output-signature kernels over whole databases per call
 (:mod:`~repro.analytics.kernels`), and feeds the fleet consumers —
 rankings, Table I, re-verification, ``mnt-bench report``/``info``
 (:mod:`~repro.analytics.engine`, :mod:`~repro.analytics.report`).  The
-per-artifact object path is retained as the reference engine; the
+per-artifact object path survives only as the test oracle
+:func:`~repro.analytics.engine.reference_analyze_texts`; the
 differential tests and ``benchmarks/bench_analytics.py`` prove both
 produce identical results.
 """
 
-from .backend import (
-    BACKEND_NUMPY,
-    BACKEND_STDLIB,
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    HAS_NUMPY,
-    resolve_backend,
-)
 from .engine import (
-    ENGINE_COLUMNAR,
-    ENGINE_REFERENCE,
-    ENGINES,
     VerificationRecord,
     VerificationSummary,
     analyze_texts,
@@ -30,9 +20,10 @@ from .engine import (
     best_pairs,
     database_info,
     gate_level_records,
-    resolve_engine,
+    reference_analyze_texts,
     sweep_database,
     verify_database,
+    verify_pairs,
 )
 from .kernels import (
     DrcCounts,
@@ -43,21 +34,19 @@ from .kernels import (
     layout_metrics,
     layout_signature,
 )
-from .report import AggregateRow, AnalyticsReport, ReportRow, build_report
+from .report import (
+    AggregateRow,
+    AnalyticsReport,
+    ReportRow,
+    build_report,
+    report_from_pairs,
+)
 from .tables import LayoutBatch
 
 __all__ = [
     "AggregateRow",
     "AnalyticsReport",
-    "BACKEND_NUMPY",
-    "BACKEND_STDLIB",
-    "DEFAULT_BACKEND",
     "DrcCounts",
-    "ENGINE_COLUMNAR",
-    "ENGINE_REFERENCE",
-    "ENGINES",
-    "ENV_VAR",
-    "HAS_NUMPY",
     "LayoutAnalysis",
     "LayoutBatch",
     "ReportRow",
@@ -74,8 +63,9 @@ __all__ = [
     "layout_drc",
     "layout_metrics",
     "layout_signature",
-    "resolve_backend",
-    "resolve_engine",
+    "reference_analyze_texts",
+    "report_from_pairs",
     "sweep_database",
     "verify_database",
+    "verify_pairs",
 ]

@@ -8,9 +8,10 @@ One columnar pass over the database produces
   mean area per suite × clocking scheme × gate library × algorithm),
 * the paper-style **Table I rendering** via
   :func:`repro.core.table.database_table_rows` /
-  :func:`repro.core.table.format_table` — byte-identical between the
-  columnar and reference engines (the golden test in
-  ``tests/analytics/test_report.py`` asserts it).
+  :func:`repro.core.table.format_table` — byte-identical to the report
+  :func:`report_from_pairs` builds from the per-artifact oracle's
+  analyses (the golden test in ``tests/analytics/test_report.py``
+  asserts it).
 
 Renderers: :meth:`AnalyticsReport.to_markdown`, ``to_csv`` and
 ``to_json``.
@@ -23,7 +24,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .engine import best_pairs, gate_level_records, resolve_engine, sweep_database
+from .engine import best_pairs, gate_level_records, sweep_database
 
 
 def algorithm_label(record) -> str:
@@ -80,7 +81,6 @@ class AggregateRow:
 class AnalyticsReport:
     """The full report: best rows, aggregates, Table I renderings."""
 
-    engine: str
     num_artifacts: int
     rows: tuple[ReportRow, ...]
     aggregates: tuple[AggregateRow, ...]
@@ -93,7 +93,6 @@ class AnalyticsReport:
         lines = [
             "# MNT Bench report",
             "",
-            f"- engine: `{self.engine}`",
             f"- gate-level artifacts analysed: {self.num_artifacts}",
             "",
             "## Best layouts (computed metrics)",
@@ -176,7 +175,6 @@ class AnalyticsReport:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "engine": self.engine,
                 "num_artifacts": self.num_artifacts,
                 "best": [row.to_json() for row in self.rows],
                 "aggregates": [agg.to_json() for agg in self.aggregates],
@@ -203,18 +201,16 @@ def _cell(value) -> str:
     return "—" if value is None else str(value)
 
 
-def build_report(
-    db,
-    selection=None,
-    engine: str | None = None,
-    backend: str | None = None,
-) -> AnalyticsReport:
+def build_report(db, selection=None) -> AnalyticsReport:
     """Sweep the database once and assemble the full report."""
-    from ..core.table import database_table_rows, format_table
+    return report_from_pairs(
+        db, sweep_database(db, gate_level_records(db, selection))
+    )
 
-    engine = resolve_engine(engine)
-    records = gate_level_records(db, selection)
-    pairs = sweep_database(db, records, engine=engine, backend=backend)
+
+def report_from_pairs(db, pairs) -> AnalyticsReport:
+    """Assemble the report from analysed (record, analysis) pairs."""
+    from ..core.table import database_table_rows, format_table
 
     rows = tuple(
         _report_row(record, analysis) for record, analysis in best_pairs(pairs)
@@ -245,17 +241,13 @@ def build_report(
             )
         )
 
-    libraries = sorted({record.gate_library or "" for record in records})
+    libraries = sorted({record.gate_library or "" for record, _ in pairs})
     tables = {
-        library: format_table(
-            database_table_rows(db, library, selection=selection, pairs=pairs),
-            library,
-        )
+        library: format_table(database_table_rows(db, library, pairs=pairs), library)
         for library in libraries
     }
     return AnalyticsReport(
-        engine=engine,
-        num_artifacts=len(records),
+        num_artifacts=len(pairs),
         rows=rows,
         aggregates=tuple(aggregates),
         tables=tables,

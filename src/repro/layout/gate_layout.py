@@ -840,14 +840,11 @@ class GateLayout:
         (:meth:`dense_tiles`); the walks yield the same sequence, so the
         two engines produce node-for-node identical networks — the
         differential relation the ``sparse_agreement`` oracle asserts.
-        ``"insertion"`` keeps the legacy insertion-ordered emission.
         """
         if engine == "sparse":
             order = self.topological_tiles(self.sparse_tiles())
         elif engine == "reference":
             order = self.topological_tiles(self.dense_tiles())
-        elif engine == "insertion":
-            order = self.topological_tiles()
         else:
             raise ValueError(f"unknown extraction engine {engine!r}")
         ntk = LogicNetwork(self.name)

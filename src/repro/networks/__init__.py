@@ -23,14 +23,13 @@ from .verilog import (
     write_verilog,
 )
 from .generators import DEFAULT_GATE_MIX, GeneratorSpec, generate_network, scaled_gate_count
-from .analysis import NetworkProfile, format_profile, profile, to_networkx
+from .analysis import NetworkProfile, format_profile, profile
 
 __all__ = [
     "DEFAULT_GATE_MIX",
     "NetworkProfile",
     "format_profile",
     "profile",
-    "to_networkx",
     "EXHAUSTIVE_LIMIT",
     "EquivalenceResult",
     "GateType",

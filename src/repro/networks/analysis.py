@@ -5,16 +5,15 @@ network files (gate mix, depth profile, fanout distribution), and the
 physical design literature cares about structure because it predicts
 layout cost: reconvergence forces crossings, high-fanout nets force
 fanout trees, and deep cones stretch the 2DDWave diagonal.  This module
-computes those statistics on :class:`LogicNetwork` instances, using
-``networkx`` for the graph-theoretic parts.
+computes those statistics on :class:`LogicNetwork` instances.  The
+graph walks treat the network as its logic DAG: live nodes without
+constants, edges from fanin to reader.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from .logic_network import GateType, LogicNetwork
 
@@ -38,25 +37,6 @@ class NetworkProfile:
     components: int
     #: Average fanin-cone size over all POs (a locality measure).
     average_cone_size: float
-
-
-def to_networkx(network: LogicNetwork) -> nx.DiGraph:
-    """The network's logic DAG as a ``networkx`` digraph.
-
-    Nodes are the network's live node ids (constants excluded); each
-    node carries ``gate_type`` and ``name`` attributes; edges point from
-    fanin to reader.
-    """
-    graph = nx.DiGraph()
-    for uid in network.topological_order():
-        if network.is_constant(uid):
-            continue
-        node = network.node(uid)
-        graph.add_node(uid, gate_type=node.gate_type.value, name=node.name)
-        for fanin in node.fanins:
-            if not network.is_constant(fanin):
-                graph.add_edge(fanin, uid)
-    return graph
 
 
 def gate_mix(network: LogicNetwork) -> dict[str, int]:
@@ -147,16 +127,51 @@ def reconvergent_gates(network: LogicNetwork) -> set[int]:
     return result
 
 
+def cone_size(network: LogicNetwork, signal: int) -> int:
+    """Number of non-constant nodes in ``signal``'s transitive fanin,
+    ``signal`` included (0 for a constant)."""
+    if network.is_constant(signal):
+        return 0
+    cone = {signal}
+    stack = [signal]
+    while stack:
+        for fanin in network.fanins(stack.pop()):
+            if fanin not in cone and not network.is_constant(fanin):
+                cone.add(fanin)
+                stack.append(fanin)
+    return len(cone)
+
+
+def weak_components(network: LogicNetwork) -> int:
+    """Number of weakly connected components of the logic DAG."""
+    parent: dict[int, int] = {}
+
+    def root(uid: int) -> int:
+        while parent[uid] != uid:
+            parent[uid] = parent[parent[uid]]
+            uid = parent[uid]
+        return uid
+
+    components = 0
+    for uid in network.topological_order():
+        if network.is_constant(uid):
+            continue
+        parent[uid] = uid
+        components += 1
+        for fanin in network.fanins(uid):
+            if network.is_constant(fanin):
+                continue
+            a, b = root(fanin), root(uid)
+            if a != b:
+                parent[a] = b
+                components -= 1
+    return components
+
+
 def profile(network: LogicNetwork) -> NetworkProfile:
     """Compute the full structural profile."""
-    graph = to_networkx(network)
     histogram = fanout_histogram(network)
-    cone_sizes = []
-    for signal in network.po_signals():
-        if network.is_constant(signal):
-            cone_sizes.append(0)
-            continue
-        cone_sizes.append(len(nx.ancestors(graph, signal)) + 1)
+    cone_sizes = [cone_size(network, signal) for signal in network.po_signals()]
     return NetworkProfile(
         num_pis=network.num_pis(),
         num_pos=network.num_pos(),
@@ -167,7 +182,7 @@ def profile(network: LogicNetwork) -> NetworkProfile:
         max_fanout=max(histogram, default=0),
         critical_nodes=len(critical_nodes(network)),
         reconvergent_gates=len(reconvergent_gates(network)),
-        components=nx.number_weakly_connected_components(graph) if graph else 0,
+        components=weak_components(network),
         average_cone_size=sum(cone_sizes) / len(cone_sizes) if cone_sizes else 0.0,
     )
 

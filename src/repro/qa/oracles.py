@@ -276,15 +276,16 @@ def check_exact_parallel(network: LogicNetwork, flow) -> OracleFailure | None:
 def check_analytics_agreement(network: LogicNetwork, flow) -> OracleFailure | None:
     """Columnar kernels must agree exactly with the per-artifact path.
 
-    Runs the flow once, serialises the layout to ``.fgl``, decodes it
-    into a :class:`repro.analytics.tables.LayoutBatch` and compares the
-    columnar metrics, DRC counts and output signature (DRC-clean layouts
-    only, mirroring ``verify_layout``) against ``compute_metrics`` /
-    ``check_layout`` / ``output_signature`` on the layout object — on
-    both numeric backends, which must also agree with each other.
+    Runs the flow once, serialises the layout to ``.fgl``, and compares
+    :func:`~repro.analytics.engine.analyze_texts` (decode into a
+    :class:`repro.analytics.tables.LayoutBatch`, columnar metrics, DRC
+    counts and output signature) against
+    :func:`~repro.analytics.engine.reference_analyze_texts`
+    (``compute_metrics`` / ``check_layout`` / ``output_signature`` on
+    the layout object; signatures of DRC-clean layouts only, mirroring
+    ``verify_layout``).
     """
-    from ..analytics import ENGINE_COLUMNAR, ENGINE_REFERENCE, analyze_texts
-    from ..analytics.backend import BACKEND_STDLIB, resolve_backend
+    from ..analytics import analyze_texts, reference_analyze_texts
     from .config import FlowSkipped
 
     try:
@@ -292,22 +293,13 @@ def check_analytics_agreement(network: LogicNetwork, flow) -> OracleFailure | No
     except FlowSkipped:
         return None
     text = layout_to_fgl(layout)
-    reference = analyze_texts(
-        [text], engine=ENGINE_REFERENCE, with_signatures=True
-    )[0]
-    for backend in {resolve_backend(None), BACKEND_STDLIB}:
-        columnar = analyze_texts(
-            [text],
-            engine=ENGINE_COLUMNAR,
-            backend=backend,
-            with_signatures=True,
-        )[0]
-        if columnar != reference:
-            return OracleFailure(
-                "analytics_agreement",
-                f"columnar[{backend}] {columnar} != reference {reference} "
-                f"({flow.describe()})",
-            )
+    reference = reference_analyze_texts([text], with_signatures=True)[0]
+    columnar = analyze_texts([text], with_signatures=True)[0]
+    if columnar != reference:
+        return OracleFailure(
+            "analytics_agreement",
+            f"columnar {columnar} != reference {reference} ({flow.describe()})",
+        )
     return None
 
 

@@ -29,13 +29,25 @@ Performance model, in request order:
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
 
+# Everything a handler needs is imported here, at module load: handler
+# threads importing a package for the first time at once can see it
+# partially initialised (an ImportError on a cold server).
+from ..analytics.engine import best_database
+from ..analytics.report import _report_row
 from ..core.selection import AbstractionLevel, Selection
 from ..core.snapshot import SnapshotManager
 from ..core.store import ArtifactNotFoundError
+from ..gatelibs.apply import apply_gate_library
+from ..io.qca import cell_layout_to_qca
+from ..io.sqd import sidb_layout_to_sqd
+from ..layout import Topology
+from ..optimization import to_hexagonal
+from ..scheduler.engine import GENERATION_STATS_NAME
 from .http_utils import (
     GzipEncoder,
     LruCache,
@@ -43,6 +55,8 @@ from .http_utils import (
     parse_accept_encoding,
     strong_etag,
 )
+
+_log = logging.getLogger(__name__)
 
 #: Rendered-payload LRU bound (best/report/cell-level conversions).
 DEFAULT_RENDER_CACHE_SIZE = 64
@@ -157,9 +171,6 @@ def query_payload(view, selection: Selection) -> dict:
 def best_payload(view, selection: Selection | None = None) -> dict:
     """The ``/v1/best`` payload: area-best artifact per (suite,
     function, gate library), ranked on computed metrics."""
-    from ..analytics.engine import best_database
-    from ..analytics.report import _report_row
-
     pairs = best_database(view, selection)
     return {
         "count": len(pairs),
@@ -210,6 +221,10 @@ class BenchService:
         except ValueError as exc:
             self._bump("errors")
             response = _error(400, str(exc))
+        except Exception as exc:  # a fault must not drop the connection
+            _log.exception("%s %s failed", request.method, request.path)
+            self._bump("errors")
+            response = _error(500, f"internal error: {type(exc).__name__}: {exc}")
         response = self._finalize(request, response)
         self._bump("requests")
         self._bump("busy_micros", int((time.perf_counter() - started) * 1e6))
@@ -324,8 +339,6 @@ class BenchService:
         counters (done/failed/cancelled/stolen, per-flow wall time)
         through the same ``/v1/stats`` endpoint they already poll.
         """
-        from ..scheduler.engine import GENERATION_STATS_NAME
-
         path = snapshot.root / GENERATION_STATS_NAME
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
@@ -399,12 +412,6 @@ class BenchService:
     def _cell_level(self, snapshot, record, entry, fmt, etag) -> Response:
         """``format=sqd``/``qca``: compile the gate-level artifact with
         its gate library; conversions are cached by content digest."""
-        from ..gatelibs.apply import apply_gate_library
-        from ..io.qca import cell_layout_to_qca
-        from ..io.sqd import sidb_layout_to_sqd
-        from ..layout import Topology
-        from ..optimization import to_hexagonal
-
         if record.abstraction_level is not AbstractionLevel.GATE_LEVEL:
             return _error(400, f"format={fmt} requires a gate-level artifact")
         library = record.gate_library or ""

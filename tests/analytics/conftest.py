@@ -8,6 +8,7 @@ has something to verify against.
 
 import pytest
 
+from repro.analytics import gate_level_records, reference_analyze_texts
 from repro.core import BenchmarkDatabase
 from repro.core.bench import BenchmarkFile
 from repro.core.selection import AbstractionLevel
@@ -62,3 +63,13 @@ def build_analytics_db(root) -> BenchmarkDatabase:
 @pytest.fixture(scope="module")
 def analytics_db(tmp_path_factory) -> BenchmarkDatabase:
     return build_analytics_db(tmp_path_factory.mktemp("analytics_db"))
+
+
+def reference_sweep(db, with_signatures: bool = False) -> list[tuple]:
+    """The oracle's (record, analysis) pairs: one artifact read and one
+    per-artifact analysis at a time, like the pre-batch consumers."""
+    records = gate_level_records(db)
+    texts = [db.artifact_text(record) for record in records]
+    return list(
+        zip(records, reference_analyze_texts(texts, with_signatures=with_signatures))
+    )

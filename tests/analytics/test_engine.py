@@ -1,36 +1,21 @@
-"""Engine-level sweeps: columnar vs. reference, rankings, verification."""
-
-import pytest
+"""Database sweeps: columnar vs. the per-artifact oracle, rankings,
+verification."""
 
 from repro.analytics import (
-    ENGINE_COLUMNAR,
-    ENGINE_REFERENCE,
-    best_database,
+    best_pairs,
     database_info,
-    resolve_engine,
     sweep_database,
-    verify_database,
+    verify_pairs,
 )
 from repro.core import Selection
 
-
-class TestResolveEngine:
-    def test_default_is_columnar(self):
-        assert resolve_engine(None) == ENGINE_COLUMNAR
-
-    def test_unknown_engine_raises(self):
-        with pytest.raises(ValueError, match="unknown analytics engine"):
-            resolve_engine("gpu")
+from .conftest import reference_sweep
 
 
 class TestSweepAgreement:
     def test_engines_agree_on_database(self, analytics_db):
-        columnar = sweep_database(
-            analytics_db, engine=ENGINE_COLUMNAR, with_signatures=True
-        )
-        reference = sweep_database(
-            analytics_db, engine=ENGINE_REFERENCE, with_signatures=True
-        )
+        columnar = sweep_database(analytics_db, with_signatures=True)
+        reference = reference_sweep(analytics_db, with_signatures=True)
         assert len(columnar) == len(reference) == 6
         for (rec_c, ana_c), (rec_r, ana_r) in zip(columnar, reference):
             assert rec_c is rec_r
@@ -55,8 +40,8 @@ class TestBest:
             assert analysis.metrics.area == min(group)
 
     def test_engines_agree(self, analytics_db):
-        columnar = analytics_db.best(engine=ENGINE_COLUMNAR)
-        reference = analytics_db.best(engine=ENGINE_REFERENCE)
+        columnar = analytics_db.best()
+        reference = best_pairs(reference_sweep(analytics_db))
         assert [(r.path, a) for r, a in columnar] == [
             (r.path, a) for r, a in reference
         ]
@@ -74,8 +59,10 @@ class TestVerifyAll:
         assert "6 artifact(s): 6 ok" in summary.summary()
 
     def test_engines_agree(self, analytics_db):
-        columnar = analytics_db.verify_all(engine=ENGINE_COLUMNAR)
-        reference = analytics_db.verify_all(engine=ENGINE_REFERENCE)
+        columnar = analytics_db.verify_all()
+        reference = verify_pairs(
+            analytics_db, reference_sweep(analytics_db, with_signatures=True)
+        )
         assert columnar.records == reference.records
 
     def test_missing_spec_reported_not_failed(self, tmp_path):

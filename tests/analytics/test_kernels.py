@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.analytics import LayoutBatch, analyze_batch, analyze_layout
+from repro.analytics import (
+    LayoutBatch,
+    analyze_batch,
+    analyze_layout,
+    reference_analyze_texts,
+)
 from repro.io.fgl import layout_to_fgl
 from repro.layout import GateLayout, TWODDWAVE, Tile, check_layout, compute_metrics
 from repro.layout.clocking import ROW
@@ -13,10 +18,12 @@ from repro.optimization.hexagonalization import to_hexagonal
 from repro.physical_design.ortho import orthogonal_layout
 
 
-def assert_parity(layout, backend=None):
+def assert_parity(layout):
     """One layout: columnar analysis == reference computation."""
-    batch = LayoutBatch.from_texts([layout_to_fgl(layout)])
-    analysis = analyze_layout(batch, 0, backend=backend, with_signature=True)
+    text = layout_to_fgl(layout)
+    batch = LayoutBatch.from_texts([text])
+    analysis = analyze_layout(batch, 0, with_signature=True)
+    assert analysis == reference_analyze_texts([text], with_signatures=True)[0]
 
     try:
         expected_metrics = compute_metrics(layout)
@@ -48,9 +55,6 @@ class TestCleanLayouts:
     def test_hexagonal_parity(self, factory):
         cartesian = orthogonal_layout(factory(), None).layout
         assert_parity(to_hexagonal(cartesian).layout)
-
-    def test_stdlib_backend_parity(self):
-        assert_parity(orthogonal_layout(mux21()).layout, backend="stdlib")
 
 
 class TestViolatingLayouts:

@@ -6,38 +6,40 @@ import json
 
 import pytest
 
-from repro.analytics import ENGINE_COLUMNAR, ENGINE_REFERENCE, build_report
+from repro.analytics import build_report, report_from_pairs
 from repro.cli import main
 from repro.core import database_table_rows, format_table
 
+from .conftest import reference_sweep
+
 
 class TestGoldenEngineParity:
-    """The acceptance gate: the columnar report must match the
-    per-artifact reference path byte for byte — same rows, same
-    aggregates, same Table I rendering."""
+    """The acceptance gate: the columnar report must match the one
+    built from the per-artifact oracle's analyses byte for byte — same
+    rows, same aggregates, same Table I rendering."""
 
     def test_table_rows_byte_identical(self, analytics_db):
         columnar = format_table(
-            database_table_rows(analytics_db, "QCA ONE", engine=ENGINE_COLUMNAR),
-            "QCA ONE",
+            database_table_rows(analytics_db, "QCA ONE"), "QCA ONE"
         )
         reference = format_table(
-            database_table_rows(analytics_db, "QCA ONE", engine=ENGINE_REFERENCE),
+            database_table_rows(
+                analytics_db, "QCA ONE", pairs=reference_sweep(analytics_db)
+            ),
             "QCA ONE",
         )
         assert columnar == reference
         assert "mux21" in columnar and "xor2" in columnar
 
     def test_report_renderings_byte_identical(self, analytics_db):
-        columnar = build_report(analytics_db, engine=ENGINE_COLUMNAR)
-        reference = build_report(analytics_db, engine=ENGINE_REFERENCE)
+        columnar = build_report(analytics_db)
+        reference = report_from_pairs(analytics_db, reference_sweep(analytics_db))
         assert columnar.rows == reference.rows
         assert columnar.aggregates == reference.aggregates
         assert columnar.tables == reference.tables
-        assert columnar.to_markdown().replace("`columnar`", "`reference`") == (
-            reference.to_markdown()
-        )
+        assert columnar.to_markdown() == reference.to_markdown()
         assert columnar.to_csv() == reference.to_csv()
+        assert columnar.to_json() == reference.to_json()
 
     def test_table_rows_match_recorded_metadata(self, analytics_db):
         # The fabricated records carry the true width/height/area, so
@@ -72,7 +74,7 @@ class TestReportContent:
 
     def test_json_roundtrips(self, analytics_db):
         payload = json.loads(build_report(analytics_db).to_json())
-        assert payload["engine"] == "columnar"
+        assert set(payload) == {"num_artifacts", "best", "aggregates", "tables"}
         assert len(payload["best"]) == 3
         assert "QCA ONE" in payload["tables"]
 
@@ -95,13 +97,24 @@ class TestCli:
             [
                 "report", "--database", str(analytics_db.root),
                 "--format", "json", "--output", str(target),
-                "--engine", "reference",
             ]
         )
         assert code == 0
         payload = json.loads(target.read_text())
-        assert payload["engine"] == "reference"
+        assert payload["num_artifacts"] == 6
         assert "written to" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["report", "verify"])
+    def test_engine_flag_is_gone(self, analytics_db, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    command, "--database", str(analytics_db.root),
+                    "--engine", "reference",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_report_name_filter(self, analytics_db, capsys):
         code = main(

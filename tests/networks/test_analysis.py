@@ -1,8 +1,5 @@
 """Tests for structural network analysis."""
 
-import networkx as nx
-import pytest
-
 from repro.networks import LogicNetwork
 from repro.networks.analysis import (
     critical_nodes,
@@ -12,27 +9,8 @@ from repro.networks.analysis import (
     levels,
     profile,
     reconvergent_gates,
-    to_networkx,
 )
 from repro.networks.library import full_adder, mux21, parity_generator
-
-
-class TestGraphExport:
-    def test_dag(self):
-        graph = to_networkx(full_adder())
-        assert nx.is_directed_acyclic_graph(graph)
-
-    def test_node_count_matches(self):
-        net = mux21()
-        graph = to_networkx(net)
-        live = [u for u in net.topological_order() if not net.is_constant(u)]
-        assert graph.number_of_nodes() == len(live)
-
-    def test_attributes(self):
-        net = mux21()
-        graph = to_networkx(net)
-        types = {data["gate_type"] for _, data in graph.nodes(data=True)}
-        assert "pi" in types and "and" in types
 
 
 class TestStatistics:
@@ -93,6 +71,30 @@ class TestProfile:
         assert p.components == 1
         assert p.reconvergent_gates > 0
         assert p.average_cone_size > 1
+
+    def test_disjoint_cones(self):
+        # PO 1 reads and(a, not b): cone {a, b, not, and} = 4 nodes.
+        # PO 2 reads or(c, d): cone {c, d, or} = 3 nodes.  The cones
+        # share nothing, so the logic DAG has two weak components.
+        ntk = LogicNetwork()
+        a, b, c, d = (ntk.create_pi() for _ in range(4))
+        ntk.create_po(ntk.create_and(a, ntk.create_not(b)))
+        ntk.create_po(ntk.create_or(c, d))
+        p = profile(ntk)
+        assert p.components == 2
+        assert p.average_cone_size == (4 + 3) / 2
+
+    def test_constant_po_and_unused_pi(self):
+        # A constant PO has an empty cone; the unread PI b is a
+        # component of its own next to {a, not a}.
+        ntk = LogicNetwork()
+        a = ntk.create_pi()
+        ntk.create_pi()
+        ntk.create_po(ntk.get_constant(False))
+        ntk.create_po(ntk.create_not(a))
+        p = profile(ntk)
+        assert p.components == 2
+        assert p.average_cone_size == (0 + 2) / 2
 
     def test_parity_profile(self):
         p = profile(parity_generator(4))
