@@ -516,8 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument(
         "--task-timeout", type=float, metavar="SECONDS",
-        help="wall budget per flow task; overruns are SIGKILLed and "
-        "recorded as timeout rejections",
+        help="wall budget per flow task (a Cartesian flow and its hex: "
+        "twin are one task); overruns are SIGKILLed and recorded as timeout "
+        "rejections",
     )
     gen.add_argument(
         "--task-memory-mb", type=float, metavar="MIB",

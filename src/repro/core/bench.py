@@ -17,14 +17,14 @@ local filesystem:
 * every generated layout is design-rule-checked and functionally
   verified against its specification network before it enters the index.
 
-Generation is organised as independent **flow tasks** — picklable
-descriptions of one (benchmark × flow) unit of work, each carrying the
-specification as Verilog text.  With ``GenerationParams.jobs > 1`` the
-tasks fan out across a :class:`concurrent.futures.ProcessPoolExecutor`;
-``jobs=1`` runs the identical task functions in-process for
-debuggability.  A **flow-result cache** keyed by (network signature,
-flow, params hash) lives inside the JSON index, so re-generating a
-database skips already-verified layouts entirely.
+Generation is organised as **flow tasks** — picklable descriptions of
+one (benchmark × flow) unit of work, each carrying the specification as
+Verilog text.  The scheduler (:mod:`repro.scheduler`) runs them in
+worker processes (``GenerationParams.jobs > 1``) or in-process, and
+runs a Cartesian flow and its ``hex:`` twin as one task that places
+once (:data:`PAIRED_FLOWS`).  A **flow-result cache** keyed by (network
+signature, flow, params hash) lives inside the JSON index, so
+re-generating a database skips already-verified layouts entirely.
 """
 
 from __future__ import annotations
@@ -285,6 +285,10 @@ class FlowTask:
     flow: str
     verilog: str
     params: GenerationParams
+    #: The ``hex:<flow>`` twin to derive from this task's placement
+    #: (see :data:`PAIRED_FLOWS`); the task then yields one result per
+    #: flow instead of placing the function a second time.
+    twin: str | None = None
 
 
 @dataclass(frozen=True)
@@ -335,6 +339,14 @@ def _effective_exact_jobs(params: GenerationParams) -> int:
         cpus = os.cpu_count() or 1
         exact_jobs = max(1, min(exact_jobs, cpus // max(1, params.jobs)))
     return exact_jobs
+
+
+#: Cartesian flows the scheduler runs together with their ``hex:`` twin
+#: as one task (one placement, two results).  ``hex:exact`` stays a task
+#: of its own: its base ``exact:2DDWave`` is early-cancelled and sliced
+#: by aspect-ratio time budgets, which a shared task would have to
+#: arbitrate between the two flows.
+PAIRED_FLOWS = ("ortho", "ortho_opt", "npr")
 
 
 def _run_flow(network: LogicNetwork, flow: str, params: GenerationParams,
@@ -426,43 +438,76 @@ def _run_flow(network: LogicNetwork, flow: str, params: GenerationParams,
         base = flow.split(":", 1)[1]
         if base == "exact":
             base = "exact:2DDWave"
-        produced = []
-        for layout, algorithm, scheme, opts, runtime in _run_flow(
-            network, base, params, stats_sink
-        ):
-            if scheme != "2DDWave" or layout.topology is not Topology.CARTESIAN:
-                continue
-            hexed = to_hexagonal(layout)
-            produced.append(
-                (
-                    hexed.layout,
-                    algorithm,
-                    "ROW",
-                    opts + ("45°",),
-                    runtime + hexed.runtime_seconds,
-                )
-            )
-        return produced
+        return _hex_twins(_run_flow(network, base, params, stats_sink))
     raise ValueError(f"unknown flow {flow!r}")
 
 
-def _execute_flow_task(task: FlowTask) -> FlowTaskResult:
+def _hex_twins(produced: list) -> list:
+    """The ``hex:`` flow of already placed candidates: the 45° image of
+    every 2DDWave layout in ``produced`` (same tuple shape), its runtime
+    the placement's plus the hexagonalization's."""
+    twins = []
+    for layout, algorithm, scheme, opts, runtime in produced:
+        if scheme != "2DDWave" or layout.topology is not Topology.CARTESIAN:
+            continue
+        hexed = to_hexagonal(layout)
+        twins.append(
+            (
+                hexed.layout,
+                algorithm,
+                "ROW",
+                opts + ("45°",),
+                runtime + hexed.runtime_seconds,
+            )
+        )
+    return twins
+
+
+def _execute_flow_task(task: FlowTask) -> tuple[FlowTaskResult, ...]:
     """Run one flow task: build, place, verify, serialise.
 
-    Module-level so it pickles for :class:`ProcessPoolExecutor`; also the
-    single code path the serial mode uses, guaranteeing both modes make
+    Returns one result per flow the task covers: ``task.flow``, then
+    ``task.twin`` when set.  A twin is derived from the task's own
+    candidates (:func:`_hex_twins`), so the pair costs one placement;
+    its ``wall_seconds`` is only the hexagonalize + verify + serialise
+    time, while its records' ``runtime_seconds`` still include the
+    placement, exactly as when ``hex:<flow>`` runs on its own.
+
+    Module-level so it pickles into scheduler workers; also the single
+    code path the in-process mode uses, guaranteeing both modes make
     identical decisions.
     """
     started = time.monotonic()
     network = parse_verilog(task.verilog)
     network.name = task.name
-    candidates: list[FlowArtifact] = []
     exact_stats: list[ExactSearchStats] = []
-    for layout, algorithm, scheme, opts, runtime in _run_flow(
-        network, task.flow, task.params, exact_stats
-    ):
+    produced = _run_flow(network, task.flow, task.params, exact_stats)
+    results = [
+        _verified_result(task.flow, network, produced, task.params, started, exact_stats)
+    ]
+    if task.twin is not None:
+        started = time.monotonic()
+        results.append(
+            _verified_result(
+                task.twin, network, _hex_twins(produced), task.params, started, []
+            )
+        )
+    return tuple(results)
+
+
+def _verified_result(
+    flow: str,
+    network: LogicNetwork,
+    produced: list,
+    params: GenerationParams,
+    started: float,
+    exact_stats: list[ExactSearchStats],
+) -> FlowTaskResult:
+    """Sign off (DRC + equivalence) and serialise one flow's candidates."""
+    candidates: list[FlowArtifact] = []
+    for layout, algorithm, scheme, opts, runtime in produced:
         drc, equivalence = verify_layout(
-            layout, network, num_vectors=task.params.verify_vectors
+            layout, network, num_vectors=params.verify_vectors
         )
         library = (
             "Bestagon" if layout.topology is Topology.HEXAGONAL_EVEN_ROW else "QCA ONE"
@@ -507,12 +552,12 @@ def _execute_flow_task(task: FlowTask) -> FlowTaskResult:
         for extra in exact_stats[1:]:
             merged_stats.merge(extra)
     result = FlowTaskResult(
-        task.flow,
+        flow,
         tuple(candidates),
         time.monotonic() - started,
         exact_stats=merged_stats.to_json() if merged_stats is not None else None,
     )
-    if task.params.reproducible:
+    if params.reproducible:
         result = _strip_result_runtimes(result)
     return result
 
@@ -543,7 +588,7 @@ def _profile_flow_task(task: FlowTask) -> FlowTaskResult:
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        result = _execute_flow_task(task)
+        (result,) = _execute_flow_task(task)
     finally:
         profiler.disable()
     buffer = io.StringIO()
@@ -637,18 +682,12 @@ def _execute_optimize_task(task: OptimizeTask) -> FlowTaskResult:
     return result
 
 
-def _execute_tasks(
-    tasks: list, jobs: int, profile: bool = False, fn=_execute_flow_task
-) -> list[FlowTaskResult]:
+def _execute_tasks(tasks: list, jobs: int, fn) -> list[FlowTaskResult]:
     """Run tasks serially or across a process pool, order-preserving.
 
-    ``fn`` is the per-task worker — :func:`_execute_flow_task` for
-    generation, :func:`_execute_optimize_task` for the optimize stage —
-    and must be a picklable module-level function.
+    ``fn`` is the per-task worker (:func:`_execute_optimize_task` for
+    the optimize stage) and must be a picklable module-level function.
     """
-    if profile:
-        # Profiling needs the work in-process: one profiler per flow.
-        return [_profile_flow_task(t) for t in tasks]
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     try:
@@ -1047,9 +1086,8 @@ class BenchmarkDatabase:
                     )
                 )
         if params.profile:
-            results = _execute_tasks(
-                [task for _, _, task, _, _ in pending], params.jobs, params.profile
-            )
+            # Profiling needs the work in-process: one profiler per flow.
+            results = [_profile_flow_task(task) for _, _, task, _, _ in pending]
             self._merge_results(
                 (
                     (spec.suite, spec.name, task.flow, key, slot, result)

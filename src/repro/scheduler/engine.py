@@ -18,6 +18,13 @@ Per-task crash-consistency protocol (the order matters):
 A crash between (2) and (3) leaves an orphan pack entry; resume calls
 ``store.repair_truncate()`` and re-runs the task, and the idempotent
 pack append converges on identical bytes.
+
+Pairs: a Cartesian flow in :data:`~repro.core.bench.PAIRED_FLOWS` and
+its ``hex:`` twin are dispatched as one task (one placement) under the
+base flow's index, and both indices are settled from its results —
+journal lines, cache entries, queue keys and merge positions stay per
+flow.  A twin whose base does not run here (journaled, cached or held
+by another queue node) runs on its own.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import os
 import socket
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import monotonic, sleep
 
@@ -67,9 +74,10 @@ class SchedulerParams:
     #: Stable identity in journal/queue files; default host-pid.
     node_id: str | None = None
     #: Optional ``(stats, label)`` callback invoked when a task starts
-    #: executing (``label`` names it, e.g. ``"iscas85/c432 (ortho)"``)
-    #: and after every merge (``label`` is ``None``).  Purely
-    #: observational — exceptions it raises are swallowed.
+    #: executing (``label`` names it, e.g. ``"iscas85/c432 (ortho)"``,
+    #: or ``"fontes18/parity (npr + hex:npr)"`` for a pair) and after
+    #: every merge (``label`` is ``None``).  Purely observational —
+    #: exceptions it raises are swallowed.
     progress: object | None = None
 
     def resolved_node_id(self) -> str:
@@ -159,7 +167,24 @@ def _failure_result(flow: str, status: str, reason: str, seconds: float = 0.0):
 
 
 def _task_label(task) -> str:
-    return f"{task.suite}/{task.name} ({task.flow})"
+    flows = task.flow if task.twin is None else f"{task.flow} + {task.twin}"
+    return f"{task.suite}/{task.name} ({flows})"
+
+
+def _pair_twins(pending) -> dict[int, int]:
+    """Base index → ``hex:`` twin index for every live pending flow in
+    :data:`~repro.core.bench.PAIRED_FLOWS` whose twin is live too."""
+    live = {
+        (task.suite, task.name, task.flow): idx
+        for idx, (_, _, task, _, preloaded) in enumerate(pending)
+        if task is not None and preloaded is None
+    }
+    twins = {}
+    for (suite, name, flow), idx in live.items():
+        twin = live.get((suite, name, f"hex:{flow}"))
+        if flow in _bench.PAIRED_FLOWS and twin is not None:
+            twins[idx] = twin
+    return twins
 
 
 def _exact_group(flow: str) -> str | None:
@@ -327,6 +352,80 @@ class _Run:
             DirectoryQueue(sched.queue_dir, self.node)
             if sched.queue_dir is not None else None
         )
+        #: base index → twin index of every pair still to run together
+        self.twins = _pair_twins(pending)
+
+    # -- pairs -----------------------------------------------------------
+
+    def members(self, idx: int) -> tuple[int, ...]:
+        """The pending indices one dispatch of ``idx`` settles."""
+        twin = self.twins.get(idx)
+        return (idx,) if twin is None else (idx, twin)
+
+    def release_twin(self, idx: int, backlog: deque) -> None:
+        """``idx`` does not run here, so its twin runs on its own."""
+        twin = self.twins.pop(idx, None)
+        if twin is not None:
+            backlog.append(twin)
+
+    def claim(self, idx: int, remote: dict, backlog: deque) -> bool:
+        """Queue mode: may this node run ``idx``?  A spooled result is
+        adopted and a task held by another node parked in ``remote``;
+        either way ``idx``'s twin is released.  A claimed base also
+        claims its twin's key, or lets the twin go its own way."""
+        key = self.pending[idx][1]
+        data = self.queue.read_result(key)
+        if data is not None:
+            self.adopt_remote(idx, data)
+        elif not self.queue.try_claim(key):
+            remote[idx] = key
+        else:
+            twin = self.twins.get(idx)
+            if twin is not None:
+                twin_key = self.pending[twin][1]
+                twin_data = self.queue.read_result(twin_key)
+                if twin_data is not None:
+                    del self.twins[idx]
+                    self.adopt_remote(twin, twin_data)
+                elif not self.queue.try_claim(twin_key):
+                    del self.twins[idx]
+                    remote[twin] = twin_key
+            return True
+        self.release_twin(idx, backlog)
+        return False
+
+    def begin(self, idx: int):
+        """Mark ``idx`` (and its twin) as executing here and return the
+        task to run."""
+        if self.queue is not None:
+            for member in self.members(idx):
+                self.queue.mark_execution(self.pending[member][1])
+        task = self.pending[idx][2]
+        twin = self.twins.get(idx)
+        if twin is not None:
+            task = replace(task, twin=self.pending[twin][2].flow)
+        self.sched.notify(self.stats, _task_label(task))
+        return task
+
+    def settle_all(self, idx: int, results) -> None:
+        """Settle every flow of a dispatch of ``idx`` from its results
+        (one :class:`~repro.core.bench.FlowTaskResult` per flow)."""
+        members = self.members(idx)
+        if not isinstance(results, tuple) or len(results) != len(members):
+            self.fail(idx, "error", f"task returned {type(results).__name__}, "
+                                    f"not {len(members)} flow result(s)")
+            return
+        for member, result in zip(members, results):
+            self.settle(member, result)
+
+    def fail(self, idx: int, status: str, reason: str,
+             seconds: float = 0.0) -> None:
+        """Record a failed dispatch of ``idx`` as a rejection on every
+        flow it covers; the elapsed time is charged to the base flow."""
+        for member in self.members(idx):
+            flow = self.pending[member][2].flow
+            self.settle(member, _failure_result(
+                flow, status, reason, seconds if member == idx else 0.0))
 
     # -- shared decisions ------------------------------------------------
 
@@ -399,8 +498,10 @@ def run_generation(db, pending, params, sched: SchedulerParams, report,
             if preloaded is not None:
                 run.merger.offer_preloaded(idx, preloaded)
 
+        paired = set(run.twins.values())
         live = [idx for idx, item in enumerate(pending)
-                if item[2] is not None and item[4] is None]
+                if item[2] is not None and item[4] is None
+                and idx not in paired]
         want_pool = live and (max(1, params.jobs) > 1 or run.budget.bounded)
         if want_pool:
             try:
@@ -446,23 +547,14 @@ def _run_pool(run: _Run, live: list[int]) -> None:
                 idx = backlog.popleft()
                 if merger.resolved(idx):
                     continue
-                _, key, task, _, _ = run.pending[idx]
-                if queue is not None and idx not in retries:
-                    data = queue.read_result(key)
-                    if data is not None:
-                        run.adopt_remote(idx, data)
-                        continue
-                    if not queue.try_claim(key):
-                        remote[idx] = key
-                        continue
+                if (queue is not None and idx not in retries
+                        and not run.claim(idx, remote, backlog)):
+                    continue
                 reason = run.dominated(idx)
                 if reason is not None:
-                    run.settle(idx, _failure_result(task.flow, "cancelled", reason))
+                    run.fail(idx, "cancelled", reason)
                     continue
-                if queue is not None:
-                    queue.mark_execution(key)
-                pool.dispatch(idx, task)
-                sched.notify(run.stats, _task_label(task))
+                pool.dispatch(idx, run.begin(idx))
             # 2. Collect completions.
             waiting = pool.busy_count > 0 or bool(remote)
             for status, idx, payload in pool.poll(
@@ -470,25 +562,22 @@ def _run_pool(run: _Run, live: list[int]) -> None:
             ):
                 if merger.resolved(idx):
                     continue
-                _, _, task, _, _ = run.pending[idx]
                 if status == "ok":
-                    run.settle(idx, payload)
-                elif status == "memory":
-                    run.settle(idx, _failure_result(task.flow, "memory", payload))
+                    run.settle_all(idx, payload)
                 else:
-                    run.settle(idx, _failure_result(task.flow, "error", payload))
-            # 3. Enforce wall budgets.
+                    run.fail(idx, "memory" if status == "memory" else "error",
+                             payload)
+            # 3. Enforce wall budgets (a pair's budget covers both flows).
             if run.budget.wall_seconds is not None:
                 for idx, elapsed in pool.check_budgets(run.budget.wall_seconds):
                     if merger.resolved(idx):
                         continue
-                    _, _, task, _, _ = run.pending[idx]
-                    run.settle(idx, _failure_result(
-                        task.flow, "timeout",
+                    run.fail(
+                        idx, "timeout",
                         f"task wall budget ({run.budget.wall_seconds:.2f} s) "
                         f"exceeded after {elapsed:.2f} s",
                         seconds=elapsed,
-                    ))
+                    )
             # 4. Early-cancel running dominated exact tasks.
             if run.bounds:
                 for idx in pool.running_tasks():
@@ -498,9 +587,7 @@ def _run_pool(run: _Run, live: list[int]) -> None:
                     if reason is None:
                         continue
                     elapsed = pool.kill_task(idx) or 0.0
-                    _, _, task, _, _ = run.pending[idx]
-                    run.settle(idx, _failure_result(
-                        task.flow, "cancelled", reason, seconds=elapsed))
+                    run.fail(idx, "cancelled", reason, seconds=elapsed)
             # 5. Retry tasks whose worker died without reporting.
             for idx in pool.reap():
                 if merger.resolved(idx):
@@ -510,10 +597,8 @@ def _run_pool(run: _Run, live: list[int]) -> None:
                     run.stats.retries += 1
                     backlog.appendleft(idx)
                 else:
-                    _, _, task, _, _ = run.pending[idx]
-                    run.settle(idx, _failure_result(
-                        task.flow, "error",
-                        "worker process died without reporting a result"))
+                    run.fail(idx, "error",
+                             "worker process died without reporting a result")
             # 6. Progress on remotely claimed tasks.
             _poll_remote(run, remote, backlog)
     finally:
@@ -536,15 +621,8 @@ def _run_inline(run: _Run, live: list[int]) -> None:
         idx = backlog.popleft()
         if merger.resolved(idx):
             continue
-        _, key, task, _, _ = run.pending[idx]
-        if queue is not None:
-            data = queue.read_result(key)
-            if data is not None:
-                run.adopt_remote(idx, data)
-                continue
-            if not queue.try_claim(key):
-                remote[idx] = key
-                continue
+        if queue is not None and not run.claim(idx, remote, backlog):
+            continue
         _execute_inline(run, idx)
     while merger.pending_count() > 0:
         ready = deque()
@@ -558,22 +636,19 @@ def _run_inline(run: _Run, live: list[int]) -> None:
 
 
 def _execute_inline(run: _Run, idx: int) -> None:
-    _, key, task, _, _ = run.pending[idx]
     reason = run.dominated(idx)
     if reason is not None:
-        run.settle(idx, _failure_result(task.flow, "cancelled", reason))
+        run.fail(idx, "cancelled", reason)
         return
-    if run.queue is not None:
-        run.queue.mark_execution(key)
-    run.sched.notify(run.stats, _task_label(task))
+    task = run.begin(idx)
     try:
         # Looked up through the module so tests (and the crash-injection
         # driver) can wrap the task function.
-        result = _bench._execute_flow_task(task)
+        results = _bench._execute_flow_task(task)
     except Exception as exc:  # noqa: BLE001 - recorded, not dropped
-        result = _failure_result(task.flow, "error",
-                                 f"{type(exc).__name__}: {exc}")
-    run.settle(idx, result)
+        run.fail(idx, "error", f"{type(exc).__name__}: {exc}")
+        return
+    run.settle_all(idx, results)
 
 
 def _poll_remote(run: _Run, remote: dict[int, str], backlog: deque) -> None:

@@ -104,7 +104,12 @@ class DirectoryQueue:
     # -- leases ----------------------------------------------------------
 
     def try_claim(self, key: str) -> bool:
-        """Atomically acquire the lease for ``key`` (exclusive create)."""
+        """Atomically acquire the lease for ``key`` (exclusive create).
+
+        Also ``True`` when this process already holds the lease, e.g. for
+        a stolen task that comes back through the dispatch loop."""
+        if key in self._owned:
+            return True
         path = self.claims_dir / f"{key}.json"
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)

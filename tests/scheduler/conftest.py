@@ -88,8 +88,10 @@ if args.get("barrier"):
 
 params = GenerationParams(**args["params"])
 scheduler = SchedulerParams(**args.get("scheduler", {}))
+libraries = tuple(args.get("libraries") or ("QCA ONE", "Bestagon"))
 db = BenchmarkDatabase(args["db"])
-outcome = db.generate(specs, params=params, scheduler=scheduler)
+outcome = db.generate(specs, libraries=libraries, params=params,
+                      scheduler=scheduler)
 report = outcome.report
 print("RESULT " + json.dumps({
     "summary": report.summary(),
@@ -114,12 +116,14 @@ def spawn_generate(
     scheduler: dict | None = None,
     delay: float = 0.0,
     barrier: Path | None = None,
+    libraries: tuple[str, ...] = (),
 ) -> subprocess.Popen:
     """Launch the generation driver as a killable subprocess."""
     payload = {
         "db": str(db_root),
         "suite": suite,
         "benchmarks": list(benchmarks),
+        "libraries": list(libraries),
         "params": dict(params or DETERMINISTIC_PARAMS),
         "scheduler": dict(scheduler or {}),
         "delay": delay,

@@ -30,7 +30,11 @@ def _specs():
 
 @pytest.fixture
 def stall_npr(monkeypatch):
-    """Make the two ``npr`` tasks hang far past any sane wall budget."""
+    """Make the two ``npr`` tasks hang far past any sane wall budget.
+
+    Each ``npr`` task also carries its ``hex:npr`` twin (the scheduler
+    runs a Cartesian flow and its twin as one task), so a stall hits
+    both flows of the pair."""
     import repro.core.bench as bench
 
     original = bench._execute_flow_task
@@ -51,21 +55,23 @@ def test_wall_budget_kill_is_recorded_not_fatal(tmp_path, stall_npr):
     outcome = db.generate(_specs(), params=params)
     report = outcome.report
 
-    # Exactly the two stalled npr tasks are killed; every sibling flow
-    # in the same workers is unaffected.
-    assert report.timeouts == 2
+    # Exactly the two stalled npr pair tasks are killed, which times
+    # out npr and hex:npr of both functions; every sibling flow in the
+    # same workers is unaffected.
+    assert report.timeouts == 4
     assert report.admitted == 8
-    assert report.no_layout == 2  # hex:npr produces no layout here
+    assert report.no_layout == 0
     assert report.executed_flows == 12
-    assert "2 timed out" in report.summary()
-    assert report.scheduler["timeouts"] == 2
+    assert "4 timed out" in report.summary()
+    assert report.scheduler["timeouts"] == 4
     assert report.scheduler["workers_killed"] >= 2
 
     # The kill is a recorded rejection in the flow cache...
     timeout_entries = [
-        entry for entry in db._flow_cache.values() if entry["flow"] == "npr"
+        entry for entry in db._flow_cache.values()
+        if entry["flow"] in ("npr", "hex:npr")
     ]
-    assert len(timeout_entries) == 2
+    assert len(timeout_entries) == 4
     for entry in timeout_entries:
         (rejection,) = entry["rejections"]
         assert rejection["status"] == "timeout"
@@ -74,8 +80,8 @@ def test_wall_budget_kill_is_recorded_not_fatal(tmp_path, stall_npr):
     # ...and a committed journal line with the same status.
     journal = GenerationJournal.load(tmp_path / "db" / JOURNAL_NAME)
     statuses = [record.status for record in journal.records.values()]
-    assert statuses.count("timeout") == 2
-    assert statuses.count("done") == 10
+    assert statuses.count("timeout") == 4
+    assert statuses.count("done") == 8
 
 
 def test_budget_change_invalidates_timeout_cache_entries(tmp_path, monkeypatch):
@@ -95,7 +101,8 @@ def test_budget_change_invalidates_timeout_cache_entries(tmp_path, monkeypatch):
     strict = GenerationParams(
         **DETERMINISTIC_PARAMS, jobs=2, task_wall_budget=0.5
     )
-    assert db.generate(_specs(), params=strict).report.timeouts == 2
+    # two stalled npr pair tasks: npr and hex:npr time out for both
+    assert db.generate(_specs(), params=strict).report.timeouts == 4
 
     monkeypatch.undo()
 
@@ -186,12 +193,15 @@ def test_memory_budget_failure_recorded_in_sweep(tmp_path, monkeypatch):
         **DETERMINISTIC_PARAMS, jobs=2, task_memory_budget_mb=3 * 1024
     )
     report = db.generate(_specs(), params=params).report
-    assert report.memory_exceeded == 2
+    # The npr task carries its hex:npr twin: both flows are recorded.
+    assert report.memory_exceeded == 4
     assert report.admitted == 8
-    assert "2 over memory budget" in report.summary()
+    assert "4 over memory budget" in report.summary()
     memory_entries = [
-        entry for entry in db._flow_cache.values() if entry["flow"] == "npr"
+        entry for entry in db._flow_cache.values()
+        if entry["flow"] in ("npr", "hex:npr")
     ]
+    assert len(memory_entries) == 4
     for entry in memory_entries:
         (rejection,) = entry["rejections"]
         assert rejection["status"] == "memory"

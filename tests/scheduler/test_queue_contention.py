@@ -97,8 +97,18 @@ def test_two_processes_shard_one_sweep(tmp_path):
 def test_stale_lease_takeover(tmp_path):
     """Tasks claimed by a dead worker (no heartbeat) are stolen once the
     lease times out, so one crashed peer cannot wedge the sweep."""
+    _assert_stale_leases_taken_over(tmp_path, jobs=1)
+
+
+def test_stale_lease_takeover_in_worker_pool(tmp_path):
+    """The same through the worker pool: a stolen task goes back through
+    the dispatch loop, which must not try to claim it a second time."""
+    _assert_stale_leases_taken_over(tmp_path, jobs=2)
+
+
+def _assert_stale_leases_taken_over(tmp_path, jobs: int) -> None:
     queue_dir = tmp_path / "queue"
-    params = GenerationParams(**DETERMINISTIC_PARAMS)
+    params = GenerationParams(**DETERMINISTIC_PARAMS, jobs=jobs)
     spec = get_benchmark("trindade16", "mux21")
 
     # Compute the sweep's task keys the same way generate() does, then
